@@ -106,7 +106,21 @@ func (r *Result) AssignRegisters() (*Assignment, error) {
 		key := [2]int{int(g.locTemp[l]), int(g.find(locID(l)))}
 		byTempRoot[key] = append(byTempRoot[key], locID(l))
 	}
-	for _, locs := range byTempRoot {
+	// Map order would pick the union-find representatives, and the
+	// coloring breaks ties on node ID: visit the keys sorted so the
+	// register names are the same in every process.
+	keys := make([][2]int, 0, len(byTempRoot))
+	for k := range byTempRoot {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	for _, k := range keys {
+		locs := byTempRoot[k]
 		for i := 1; i < len(locs); i++ {
 			a.union(locs[0], locs[i])
 		}
