@@ -1,10 +1,11 @@
 // Package lp implements a linear-programming solver: a bounded-variable
 // simplex over sparse columns with a sparse LU basis factorization
 // (threshold-Markowitz pivoting, Forrest–Tomlin-style update etas
-// between refactorizations), devex pricing on the primal side, and a
-// dual simplex for warm-started re-solves after bound changes or added
-// rows. It is the substrate under the branch-and-bound MIP solver that
-// stands in for CPLEX in this reproduction.
+// between refactorizations, triangular solves that visit only the
+// elimination steps their input reaches), devex pricing on the primal
+// side, and a dual simplex for warm-started re-solves after bound
+// changes or added rows. It is the substrate under the branch-and-bound
+// MIP solver that stands in for CPLEX in this reproduction.
 //
 // Problems are stated as
 //
@@ -41,6 +42,7 @@
 //
 // The lp/ observability counters (lp/solves, lp/iterations,
 // lp/dual_iterations, lp/degenerate_pivots, lp/bland_activations,
-// lp/refactorizations, lp/ft_updates, lp/refactor_cadence) are always
-// on and are read via obs.TakeSnapshot — see DESIGN.md §8.
+// lp/refactorizations, lp/ft_updates, lp/refactor_cadence,
+// lp/lu_steps) are always on and are read via obs.TakeSnapshot — see
+// DESIGN.md §8.
 package lp

@@ -117,30 +117,22 @@ func (s *simplex) runDual() (Status, error) {
 		if delta < 0 {
 			sgn = -1
 		}
-		// Pivot row: ρ = B⁻ᵀ e_r, then α_j = ρ·A_j for every nonbasic.
-		for i := range s.y {
-			s.y[i] = 0
-		}
-		s.y[r] = 1
-		s.btran(s.y)
+		// Pivot row: ρ = B⁻ᵀ e_r, then α_j = ρ·A_j for every nonbasic
+		// j that can have one (the rest are exact zeros and never
+		// eligible).
+		s.btranUnit(r)
+		rowCols := s.pivotRowCols()
 		// Dual ratio test: every eligible nonbasic (at-lower needs
 		// sgn·α > 0, at-upper sgn·α < 0, free either) is a breakpoint
 		// at ratio d_j/(sgn·α_j) where the dual objective's slope
 		// changes.
 		cands = cands[:0]
-		for j := 0; j < s.n+s.m; j++ {
+		for _, j := range rowCols {
 			st := s.state[j]
 			if st == stBasic {
 				continue
 			}
-			var a float64
-			if j < s.n {
-				for _, nz := range s.p.cols[j] {
-					a += s.y[nz.Row] * nz.Val
-				}
-			} else {
-				a = -s.y[j-s.n]
-			}
+			a := s.rowEntry(j)
 			s.alpha[j] = a
 			sa := sgn * a
 			var ratio float64
@@ -274,7 +266,7 @@ func (s *simplex) runDual() (Status, error) {
 		theta := s.d[enter] / aq
 		// Maintained reduced costs across the pivot (same algebra as
 		// the primal update, with the pivot row already priced).
-		for j := 0; j < s.n+s.m; j++ {
+		for _, j := range rowCols {
 			if s.state[j] == stBasic || j == enter {
 				continue
 			}

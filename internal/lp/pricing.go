@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
@@ -35,7 +36,7 @@ func (s *simplex) computeReducedCosts() {
 	for r := 0; r < s.m; r++ {
 		s.y[r] = s.costOf(s.basis[r], false)
 	}
-	s.btran(s.y)
+	s.btran()
 	for j := 0; j < s.n+s.m; j++ {
 		if s.state[j] == stBasic {
 			s.d[j] = 0
@@ -95,26 +96,15 @@ func (s *simplex) priceDevex(tol float64) (int, float64) {
 // from the accumulator (the ftran image of q) and prices the pivot
 // row against the still-current nonbasic set.
 func (s *simplex) updatePricing(q, r int) {
-	for i := range s.y {
-		s.y[i] = 0
-	}
-	s.y[r] = 1
-	s.btran(s.y)
+	s.btranUnit(r)
 	aq := s.w[r]
 	theta := s.d[q] / aq
 	gq := s.gamma[q]
-	for j := 0; j < s.n+s.m; j++ {
+	for _, j := range s.pivotRowCols() {
 		if s.state[j] == stBasic || j == q {
 			continue
 		}
-		var a float64
-		if j < s.n {
-			for _, nz := range s.p.cols[j] {
-				a += s.y[nz.Row] * nz.Val
-			}
-		} else {
-			a = -s.y[j-s.n]
-		}
+		a := s.rowEntry(j)
 		if a == 0 {
 			continue
 		}
@@ -131,6 +121,73 @@ func (s *simplex) updatePricing(q, r int) {
 	} else {
 		s.gamma[leaving] = 1
 	}
+}
+
+// rowEntry returns the pivot-row entry α_j = ρ·A_j of column j, with
+// ρ in s.y.
+func (s *simplex) rowEntry(j int) float64 {
+	if j >= s.n {
+		return -s.y[j-s.n]
+	}
+	var a float64
+	for _, nz := range s.p.cols[j] {
+		a += s.y[nz.Row] * nz.Val
+	}
+	return a
+}
+
+// pivotRowCols lists, in ascending order, the columns whose
+// pivot-row entry can be nonzero, given the btranUnit result ρ in s.y
+// and, after a sparse btran, its support in s.yTouch: the slacks of
+// support rows and the structurals with a nonzero in one. α_j of every
+// other column is an exact zero. After a dense btran, or when the
+// support rows hold more entries than a quarter of all columns, the
+// list is simply every column: a plain pass is then cheaper than
+// marking and sorting. The list includes basic columns; callers skip
+// them.
+func (s *simplex) pivotRowCols() []int {
+	work := 0
+	var rp *rowPattern
+	if s.ySparse {
+		rp = s.p.rowPattern()
+		for _, i := range s.yTouch {
+			work += int(rp.ptr[i+1]-rp.ptr[i]) + 1
+		}
+	}
+	if !s.ySparse || 4*work > s.n+s.m {
+		if s.allCols == nil {
+			s.allCols = make([]int, s.n+s.m)
+			for j := range s.allCols {
+				s.allCols[j] = j
+			}
+		}
+		return s.allCols
+	}
+	if s.colMark == nil {
+		s.colMark = make([]bool, s.n+s.m)
+	}
+	cols := s.rowCols[:0]
+	for _, i := range s.yTouch {
+		if s.y[i] == 0 {
+			continue
+		}
+		for _, j := range rp.col[rp.ptr[i]:rp.ptr[i+1]] {
+			if !s.colMark[j] {
+				s.colMark[j] = true
+				cols = append(cols, int(j))
+			}
+		}
+		if j := s.n + i; !s.colMark[j] {
+			s.colMark[j] = true
+			cols = append(cols, j)
+		}
+	}
+	for _, j := range cols {
+		s.colMark[j] = false
+	}
+	slices.Sort(cols)
+	s.rowCols = cols
+	return cols
 }
 
 // runDevex is the phase-2 pivot loop under devex pricing. It returns

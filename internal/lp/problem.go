@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 )
 
@@ -31,6 +32,48 @@ type Problem struct {
 	// computed on is (structurally) the same one being solved. Bound
 	// and objective edits leave it alone — they do not change B.
 	matSig uint64
+
+	// rows caches the row-wise pattern of the matrix that pivot-row
+	// pricing walks. Solves build it on first use; AddCol and AddRow
+	// drop it, and Clone shares it, so branch-and-bound workers
+	// re-solving their clone pay for it once.
+	rows atomic.Pointer[rowPattern]
+}
+
+// rowPattern is the row-wise pattern of a constraint matrix:
+// col[ptr[i]:ptr[i+1]] are the columns with a nonzero in row i,
+// ascending.
+type rowPattern struct {
+	ptr []int32
+	col []int32
+}
+
+// rowPattern returns the cached row-wise pattern, building it first if
+// needed.
+func (p *Problem) rowPattern() *rowPattern {
+	if rp := p.rows.Load(); rp != nil {
+		return rp
+	}
+	m := len(p.rowLo)
+	rp := &rowPattern{ptr: make([]int32, m+1)}
+	for _, col := range p.cols {
+		for _, nz := range col {
+			rp.ptr[nz.Row+1]++
+		}
+	}
+	for i := 0; i < m; i++ {
+		rp.ptr[i+1] += rp.ptr[i]
+	}
+	rp.col = make([]int32, rp.ptr[m])
+	next := append([]int32(nil), rp.ptr[:m]...)
+	for j, col := range p.cols {
+		for _, nz := range col {
+			rp.col[next[nz.Row]] = int32(j)
+			next[nz.Row]++
+		}
+	}
+	p.rows.Store(rp)
+	return rp
 }
 
 // mix folds one event into the matrix signature (FNV-style).
@@ -65,6 +108,7 @@ func (p *Problem) AddCol(obj, lo, hi float64) int {
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
 	p.mix(0x9e3779b97f4a7c15 ^ uint64(len(p.cols)))
+	p.rows.Store(nil)
 	return len(p.cols) - 1
 }
 
@@ -81,6 +125,7 @@ func (p *Problem) AddRow(lo, hi float64, cols []int, vals []float64) int {
 	p.rowLo = append(p.rowLo, lo)
 	p.rowHi = append(p.rowHi, hi)
 	p.mix(0xbf58476d1ce4e5b9 ^ uint64(r))
+	p.rows.Store(nil)
 	for i, c := range cols {
 		if vals[i] != 0 {
 			p.cols[c] = append(p.cols[c], Nz{Row: r, Val: vals[i]})
@@ -209,6 +254,7 @@ func (p *Problem) Clone() *Problem {
 		q.cols[j] = append([]Nz(nil), c...)
 	}
 	q.matSig = p.matSig
+	q.rows.Store(p.rows.Load())
 	return q
 }
 

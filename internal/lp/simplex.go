@@ -19,7 +19,9 @@ import (
 // the dual simplex, ft_updates the Forrest–Tomlin update etas stacked
 // on factorizations, and refactor_cadence the update depth collapsed
 // at each refactorization (cadence / refactorizations = average
-// updates a factorization served before being rebuilt).
+// updates a factorization served before being rebuilt). lu_steps
+// counts the elimination steps visited by the L, U, Lᵀ and Uᵀ solves:
+// the work of the triangular solves, as a deterministic count.
 var (
 	cSolves          = obs.NewCounter("lp/solves")
 	cIters           = obs.NewCounter("lp/iterations")
@@ -32,6 +34,7 @@ var (
 	cCadence         = obs.NewCounter("lp/refactor_cadence")
 	cRefactorRetries = obs.NewCounter("lp/refactor_retries")
 	cDriftResolves   = obs.NewCounter("lp/drift_resolves")
+	cLUSteps         = obs.NewCounter("lp/lu_steps")
 )
 
 // Fault-injection points (internal/fault; disarmed they cost one
@@ -99,11 +102,19 @@ type simplex struct {
 	// scratch. w is a sparse accumulator: wTouch lists the indices
 	// that may be nonzero and wIn marks membership, so hot loops never
 	// scan all m rows.
-	w      []float64 // ftran work (dense storage)
-	wTouch []int
-	wIn    []bool
-	y      []float64 // btran work
-	iter   int
+	w       []float64 // ftran work (dense storage)
+	wTouch  []int
+	wIn     []bool
+	y       []float64 // btran work
+	yTouch  []int     // support of a sparse btran result in y
+	ySparse bool      // the last btran took the sparse path
+	reach   stepQueue // elimination steps reached by a sparse solve
+	iter    int
+	// pivot-row candidate columns (pivotRowCols): the sparse list and
+	// its marks, and the list of every column for the dense case
+	colMark []bool
+	rowCols []int
+	allCols []int
 	// pricing state (allocated on first use): maintained phase-2
 	// reduced costs, devex column weights, dual row weights, and the
 	// pivot-row coefficients of the current dual iteration.
@@ -123,6 +134,7 @@ type simplex struct {
 	ftUpdates  int
 	cadence    int
 	refactors  int
+	luSteps    int
 	// recovery-ladder state (DESIGN.md §10): each kind of restart is
 	// attempted at most once per solve.
 	retries      int // crash-basis restarts after a refactor repair conflict
@@ -140,6 +152,7 @@ func newSimplex(p *Problem, opts *Options) *simplex {
 		w:     make([]float64, m),
 		wIn:   make([]bool, m),
 		y:     make([]float64, m),
+		reach: stepQueue{bits: make([]uint64, (m+63)/64)},
 	}
 	return s
 }
@@ -195,6 +208,7 @@ func (s *simplex) ftranW() {
 // ftran solves B z = w in place (w dense).
 func (s *simplex) ftran(w []float64) {
 	s.lu.ftranDense(w)
+	s.luSteps += 2 * s.m
 	for k := range s.updates {
 		e := &s.updates[k]
 		wr := w[e.r]
@@ -209,18 +223,55 @@ func (s *simplex) ftran(w []float64) {
 	}
 }
 
-// btran solves Bᵀ z = y in place (y dense): transposed update etas in
-// reverse stacking order, then the transposed LU factors.
-func (s *simplex) btran(y []float64) {
+// btran solves Bᵀ z = y in place on s.y: transposed update etas in
+// reverse stacking order, then the transposed LU factors. The input's
+// sparsity picks the LU path. An input with at most one nonzero per
+// sparseRatio rows — a pivot row's unit vector, a phase-1 cost vector
+// with few infeasible basics — takes the reach-driven btranSparse,
+// sets s.ySparse and leaves the result's support in s.yTouch; anything
+// denser takes the dense sweep. Both paths compute the same nonzeros
+// bit for bit.
+func (s *simplex) btran() {
+	y := s.y
+	s.yTouch = s.yTouch[:0]
+	limit := s.m / sparseRatio
+	s.ySparse = true
+	for i, v := range y {
+		if v == 0 {
+			continue
+		}
+		if len(s.yTouch) == limit {
+			s.ySparse = false
+			break
+		}
+		s.yTouch = append(s.yTouch, i)
+	}
 	for k := len(s.updates) - 1; k >= 0; k-- {
 		e := &s.updates[k]
 		var sum float64
 		for i, ix := range e.idx {
 			sum += e.val[i] * y[ix]
 		}
-		y[e.r] = (y[e.r] - sum) / e.piv
+		v := (y[e.r] - sum) / e.piv
+		y[e.r] = v
+		if v != 0 && s.ySparse {
+			s.yTouch = append(s.yTouch, e.r)
+		}
+	}
+	if s.ySparse {
+		s.lu.btranSparse(s)
+		return
 	}
 	s.lu.btranDense(y)
+	s.luSteps += 2 * s.m
+}
+
+// btranUnit computes the pivot row's multipliers ρ = B⁻ᵀ e_r into
+// s.y.
+func (s *simplex) btranUnit(r int) {
+	clear(s.y)
+	s.y[r] = 1
+	s.btran()
 }
 
 // pushEtaW records the accumulator as a Forrest–Tomlin update eta
@@ -301,6 +352,7 @@ func (s *simplex) flushStats() {
 	cCadence.Add(int64(s.cadence))
 	cRefactorRetries.Add(int64(s.retries))
 	cDriftResolves.Add(int64(s.driftRetries))
+	cLUSteps.Add(int64(s.luSteps))
 	if s.bland {
 		cBland.Inc()
 	}
@@ -750,7 +802,7 @@ func (s *simplex) run(phase1 bool) (Status, error) {
 		for r := 0; r < s.m; r++ {
 			s.y[r] = s.costOf(s.basis[r], phase1)
 		}
-		s.btran(s.y)
+		s.btran()
 		// Price nonbasics.
 		enter := -1
 		var enterDir float64

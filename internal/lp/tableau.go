@@ -74,9 +74,8 @@ func (t *TableauView) VarInfo(j int) (state int8, lo, hi float64) {
 // x_B(r) + Σ_nonbasic coef[j]·x_j's deviation = value.
 func (t *TableauView) Row(r int, coef []float64) float64 {
 	s := t.s
-	y := make([]float64, s.m)
-	y[r] = 1
-	s.btran(y)
+	s.btranUnit(r)
+	y := s.y
 	for j := 0; j < s.n+s.m; j++ {
 		if s.state[j] == stBasic {
 			coef[j] = 0

@@ -92,9 +92,11 @@ func TestCompileCacheTiers(t *testing.T) {
 		t.Fatalf("nosrc outcome %q, want hit", mhit.Outcome)
 	}
 	// The model tier re-extracts assembly from the served (translated)
-	// optimum; symmetric registers may legally swap names, so compare
-	// the allocation's quality, not bytes — cached_test.go proves
-	// behavioral bit-identity on the simulator.
+	// optimum; register assignment is deterministic, so the assembly
+	// must be the cold compile's, byte for byte.
+	if mhit.Asm != cold.Asm {
+		t.Fatalf("model-hit assembly differs from the cold compile's:\n%s\nvs\n%s", mhit.Asm, cold.Asm)
+	}
 	if math.Abs(mhit.Obj-cold.Obj) > 1e-9 || mhit.Moves != cold.Moves || mhit.Spills != cold.Spills {
 		t.Fatalf("model-hit allocation differs: obj %g/%g moves %d/%d spills %d/%d",
 			mhit.Obj, cold.Obj, mhit.Moves, cold.Moves, mhit.Spills, cold.Spills)
