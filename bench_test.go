@@ -11,9 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/mip"
 	"repro/internal/model"
 	"repro/internal/nova"
+	"repro/internal/pktgen"
 )
 
 // ---------------------------------------------------------------------------
@@ -366,6 +368,41 @@ func BenchmarkChipScaling(b *testing.B) {
 			}
 			b.ReportMetric(mbps, "Mbps")
 			b.ReportMetric(mbps/float64(engines), "Mbps/engine")
+		})
+	}
+}
+
+// BenchmarkFleetHost measures the fleet's host speed: a seeded stream of
+// 64 B packets through fleet.Run on one chip with the default six
+// engines × four threads, for AES (bound by the simulator) and NAT
+// (bound by packet generation). It reports host packets per second,
+// host nanoseconds per simulated instruction, and allocations.
+func BenchmarkFleetHost(b *testing.B) {
+	const packets = 240 // ten full batches
+	for _, w := range []workload{workloadTable[0], workloadTable[2]} {
+		b.Run(w.name, func(b *testing.B) {
+			fw, err := fleet.Adapt(w.name, compileWorkload(b, w))
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := pktgen.NewFlowGen(fw.Kind, 1, 64, 64)
+			var instrs int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Reset()
+				res, err := fleet.Run(fw, g.Take(packets), fleet.Options{Chips: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Delivered != packets {
+					b.Fatalf("delivered %d of %d packets", res.Delivered, packets)
+				}
+				instrs += res.Agg.Instrs
+			}
+			el := b.Elapsed()
+			b.ReportMetric(float64(packets*b.N)/el.Seconds(), "pps")
+			b.ReportMetric(float64(el.Nanoseconds())/float64(instrs), "ns/instr")
 		})
 	}
 }

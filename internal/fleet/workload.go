@@ -84,23 +84,9 @@ const sumSlotStride = 0x10
 // nat) or the synthetic soak kernel (sum) into a fleet-ready adapter.
 // mo overrides the ILP solver options (nil = 4-minute default).
 func Compile(name string, mo *mip.Options) (*Workload, error) {
-	var src string
-	w := &Workload{Name: strings.ToLower(name)}
-	switch w.Name {
-	case "aes":
-		src = workloads.AESSource
-		w.Kind = pktgen.KindTCP4
-	case "kasumi":
-		src = workloads.KasumiSource
-		w.Kind = pktgen.KindTCP4
-	case "nat":
-		src = workloads.NATSource
-		w.Kind = pktgen.KindIPv6
-	case "sum":
-		src = sumSource
-		w.Kind = pktgen.KindIPv6
-	default:
-		return nil, fmt.Errorf("fleet: unknown workload %q (want aes, kasumi, nat, or sum)", name)
+	src, _, err := workloadSource(name)
+	if err != nil {
+		return nil, err
 	}
 	opts := nova.DefaultOptions()
 	if mo != nil {
@@ -108,10 +94,38 @@ func Compile(name string, mo *mip.Options) (*Workload, error) {
 	} else {
 		opts.MIP = &mip.Options{Time: 4 * time.Minute}
 	}
-	comp, err := nova.Compile(w.Name+".nova", src, opts)
+	comp, err := nova.Compile(strings.ToLower(name)+".nova", src, opts)
 	if err != nil {
 		return nil, err
 	}
+	return Adapt(name, comp)
+}
+
+// workloadSource returns a named workload's Nova source and the packet
+// template it consumes.
+func workloadSource(name string) (string, pktgen.Kind, error) {
+	switch strings.ToLower(name) {
+	case "aes":
+		return workloads.AESSource, pktgen.KindTCP4, nil
+	case "kasumi":
+		return workloads.KasumiSource, pktgen.KindTCP4, nil
+	case "nat":
+		return workloads.NATSource, pktgen.KindIPv6, nil
+	case "sum":
+		return sumSource, pktgen.KindIPv6, nil
+	}
+	return "", 0, fmt.Errorf("fleet: unknown workload %q (want aes, kasumi, nat, or sum)", name)
+}
+
+// Adapt wraps comp, a compilation of the named workload's source (see
+// Compile), in that workload's fleet adapter. Callers that already hold
+// the compiled program use it to skip a second ILP solve.
+func Adapt(name string, comp *nova.Compilation) (*Workload, error) {
+	_, kind, err := workloadSource(name)
+	if err != nil {
+		return nil, err
+	}
+	w := &Workload{Name: strings.ToLower(name), Kind: kind}
 	regs, err := comp.EntryRegs()
 	if err != nil {
 		return nil, err

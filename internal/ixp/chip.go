@@ -2,6 +2,7 @@ package ixp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/asm"
 )
@@ -20,6 +21,12 @@ type Chip struct {
 	// (fleet/chipN/*). NewChip sets 0; SetID renames chip and engines
 	// together.
 	ID int
+
+	// Scheduler scratch, reused across runs: each engine's parking
+	// clock (done engines park at math.MaxInt64) and the error it
+	// parked with, if any.
+	keys   []int64
+	parked []error
 }
 
 // NumEngines on a real IXP1200.
@@ -85,53 +92,69 @@ func (c *Chip) Load(p *asm.Program) {
 }
 
 // Run advances all engines on a single global clock until every
-// started thread halts: at each step the engine with the smallest
-// local clock executes one scheduling quantum, so memory-port grants
-// are issued in true time order. Failures are returned as *RunError
-// naming the chip and engine they happened on.
+// started thread halts. Engines synchronize only at shared references
+// (memory, hash-unit, bit-test-set, CSR and TFIFO quanta; see
+// shared): each engine runs its local quanta ahead on its own clock
+// and parks before its next shared reference, and the parked engine
+// with the smallest (clock, index) executes that reference and runs
+// ahead again. Shared references therefore happen in exactly the order
+// a per-quantum global-clock interleaving gives them, so memory-port
+// grants are issued in true time order. Failures are returned as
+// *RunError naming the chip and engine they happened on; a failure is
+// raised at its engine's turn, so the first one in simulated time
+// wins.
 func (c *Chip) Run(maxCycles int64) (*Stats, error) {
-	active := make([]bool, len(c.Engines))
+	n := len(c.Engines)
+	if len(c.keys) != n {
+		c.keys, c.parked = make([]int64, n), make([]error, n)
+	}
+	keys, parked := c.keys, c.parked
 	anyStarted := false
 	for i, e := range c.Engines {
 		if e.prog == nil {
 			return nil, c.attr(i, fmt.Errorf("no program loaded"))
 		}
-		active[i] = e.active()
-		if active[i] {
-			anyStarted = true
-		}
+		anyStarted = anyStarted || e.active()
 	}
 	if !anyStarted {
 		return nil, c.attr(-1, fmt.Errorf("no engine has running threads"))
 	}
+	for i, e := range c.Engines {
+		keys[i] = math.MaxInt64
+		if e.active() {
+			keys[i], parked[i] = e.park(maxCycles)
+		}
+	}
 	for {
-		// Engine with the smallest local clock among active ones.
-		best := -1
-		for i, e := range c.Engines {
-			if !active[i] {
-				continue
-			}
-			if best < 0 || e.clock < c.Engines[best].clock {
-				best = i
+		// The parked engine with the smallest (clock, index).
+		best, key := -1, int64(math.MaxInt64)
+		for i, k := range keys {
+			if k < key {
+				best, key = i, k
 			}
 		}
 		if best < 0 {
 			break // all done
 		}
 		e := c.Engines[best]
-		if e.clock >= maxCycles {
+		if key >= maxCycles {
 			return nil, c.attr(best, fmt.Errorf("cycle budget exhausted"))
 		}
-		done, err := e.tick()
-		if err != nil {
+		if parked[best] != nil {
+			return nil, c.attr(best, parked[best])
+		}
+		if _, err := e.tick(false, key+1); err != nil {
 			return nil, c.attr(best, err)
 		}
-		if done {
-			active[best] = false
-		}
+		e.syncQuanta++
+		keys[best], parked[best] = e.park(maxCycles)
 	}
-	// Aggregate statistics; the chip's cycle count is the slowest
-	// engine's clock.
+	return c.collect()
+}
+
+// collect aggregates the engines' statistics after a completed run;
+// the chip's cycle count is the slowest engine's clock.
+func (c *Chip) collect() (*Stats, error) {
 	total := &Stats{}
 	for i, e := range c.Engines {
 		st, err := e.stats()

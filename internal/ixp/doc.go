@@ -27,6 +27,28 @@
 // port-arbitration state; Chip.Run interleaves them on a global clock
 // so cross-engine bandwidth contention is simulated faithfully.
 //
+// Chip.Run synchronizes the engines only where they can affect each
+// other (conservative lookahead, DESIGN.md §13). A quantum is shared
+// when it references SRAM, SDRAM or scratch, the hash unit, a
+// bit-test-set or a CSR, or writes the TFIFO; ALU, immediate and
+// branch instructions, RFIFO reads, context swaps, halts and idle skips
+// are local to the engine. Each engine runs its local quanta ahead on
+// its own clock and parks just before its next shared one, keyed by
+// its clock. The chip then executes the shared quantum of the parked
+// engine with the smallest (clock, engine index) and lets that engine
+// run ahead again. That is exactly the order in which a per-quantum
+// global-clock interleaving, which always advances the engine with the
+// smallest (clock, index), would execute the shared quanta: local
+// quanta neither read nor write anything another engine sees, and an
+// engine's next shared quantum, with its clock, depends only on its
+// own state. Port grants, stalls, memory images, results and Stats are
+// therefore bit-identical to that interleaving. An engine that reaches
+// the cycle budget parks there, and one whose local quantum fails
+// parks with the error at the failing quantum's clock; both are
+// raised only at the engine's turn, so the first failure in simulated
+// time wins and names its engine. The ixp/sync_quanta counter tallies
+// the shared quanta the scheduler executed.
+//
 // Stats splits memory traffic by space (SRAMRefs, SDRAMRefs,
 // ScratchRefs, HashRefs, FIFORefs) and attributes lost cycles:
 // StallCycles is time no thread was runnable (latency the thread

@@ -2,6 +2,7 @@ package ixp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/asm"
 	"repro/internal/ast"
@@ -26,6 +27,7 @@ var (
 	cIxpFIFORefs  = obs.NewCounter("ixp/fifo_refs")
 	cIxpStalls    = obs.NewCounter("ixp/stall_cycles")
 	cIxpPortWait  = obs.NewCounter("ixp/port_wait_cycles")
+	cIxpSync      = obs.NewCounter("ixp/sync_quanta")
 )
 
 // Config sets the machine parameters.
@@ -134,12 +136,13 @@ type Machine struct {
 	fifoRefs    int64
 	stallCycles int64 // cycles every thread slept (latency not hidden)
 	portWait    int64 // cycles references waited for a busy memory port
+	syncQuanta  int64 // shared-reference quanta Chip.Run scheduled
 
 	// Memory units shared across the engines of a chip; accesses
 	// occupy a unit for a few cycles, so engines contend for
 	// bandwidth (the paper: "All tables reside in SRAM, resulting in
 	// contention").
-	units    map[cps.Space]*memUnit
+	units    [cps.SpaceScratch + 1]*memUnit // SRAM, SDRAM, scratch
 	hashUnit *memUnit
 }
 
@@ -187,7 +190,7 @@ func New(cfg Config) *Machine {
 	for i := 0; i < cfg.Threads; i++ {
 		m.threads = append(m.threads, &thread{id: i})
 	}
-	m.units = map[cps.Space]*memUnit{
+	m.units = [...]*memUnit{
 		cps.SpaceSRAM:    {occupancy: int64(cfg.SRAMOccupancy)},
 		cps.SpaceSDRAM:   {occupancy: int64(cfg.SDRAMOccupancy)},
 		cps.SpaceScratch: {occupancy: int64(cfg.ScratchOccupancy)},
@@ -212,7 +215,7 @@ func (m *Machine) Load(p *asm.Program) {
 	m.swaps = 0
 	m.sramRefs, m.sdramRefs, m.scratchRefs = 0, 0, 0
 	m.hashRefs, m.fifoRefs = 0, 0
-	m.stallCycles, m.portWait = 0, 0
+	m.stallCycles, m.portWait, m.syncQuanta = 0, 0, 0
 	for _, u := range m.units {
 		u.nextFree = 0
 	}
@@ -263,24 +266,68 @@ func (m *Machine) Seconds(cycles int64) float64 {
 	return float64(cycles) / (m.Cfg.ClockMHz * 1e6)
 }
 
-// tick advances the engine by one scheduling quantum at its local
-// clock: one instruction of the current thread, a context switch, or
-// an idle skip to the next wake-up. done reports that no started
-// thread can ever run again.
-func (m *Machine) tick() (done bool, err error) {
+// tickStatus is what one call of tick did.
+type tickStatus uint8
+
+const (
+	tickRan    tickStatus = iota // executed one quantum or more
+	tickShared                   // next quantum is a shared reference; not executed
+	tickDone                     // no started thread can ever run again
+)
+
+// shared reports whether executing in can see or change state outside
+// its engine. The memories, their ports, the hash unit and the CSRs
+// are chip-wide. A TFIFO write only appends to the engine's own TX,
+// but TX is the engine's output, so it is ordered too: after a failed
+// run every engine's TX then holds exactly what the (clock, engine)
+// interleaving wrote before the failure.
+func shared(in *asm.Instr) bool {
+	switch in.Op {
+	case asm.OpRead:
+		return in.Space != cps.SpaceRFIFO
+	case asm.OpWrite, asm.OpHash, asm.OpBTS, asm.OpCSRRd, asm.OpCSRWr:
+		return true
+	}
+	return false
+}
+
+// tick advances the engine by scheduling quanta at its local clock.
+// While the current thread is runnable it executes that thread's
+// instructions, one quantum each, until the clock reaches until, the
+// thread blocks or halts, or a shared reference has executed; with
+// until = clock+1 that is exactly one quantum, since every instruction
+// costs at least a cycle. Otherwise it runs one swap quantum. With sync
+// set, a shared reference is left unexecuted and reported as
+// tickShared.
+func (m *Machine) tick(sync bool, until int64) (tickStatus, error) {
 	// Prefer the current thread while it is runnable (context switches
 	// are not free).
 	if m.cur >= 0 {
 		t := m.threads[m.cur]
 		if t.running && !t.halted && t.wakeAt <= m.clock {
-			c, err := m.step(t, m.clock)
-			if err != nil {
-				return false, fmt.Errorf("thread %d pc %d: %w", t.id, t.pc, err)
+			for {
+				sh := shared(&m.prog.Instrs[t.pc])
+				if sync && sh {
+					return tickShared, nil
+				}
+				c, err := m.step(t, m.clock)
+				if err != nil {
+					return tickRan, fmt.Errorf("thread %d pc %d: %w", t.id, t.pc, err)
+				}
+				m.clock += int64(c)
+				if sh || m.clock >= until || t.halted || t.wakeAt > m.clock {
+					return tickRan, nil
+				}
 			}
-			m.clock += int64(c)
-			return false, nil
 		}
 	}
+	return m.swap()
+}
+
+// swap is tick's quantum when the current thread cannot run: a switch
+// to the next runnable thread, an idle skip to the earliest wake-up, or
+// tickDone once no started thread is left.
+func (m *Machine) swap() (tickStatus, error) {
 	// Pick the next runnable thread (round-robin from cur+1).
 	next := -1
 	for i := 1; i <= len(m.threads); i++ {
@@ -302,21 +349,53 @@ func (m *Machine) tick() (done bool, err error) {
 			}
 		}
 		if minWake < 0 {
-			return true, nil
+			return tickDone, nil
 		}
 		if minWake <= m.clock {
-			return false, fmt.Errorf("scheduler stuck at cycle %d", m.clock)
+			return tickRan, fmt.Errorf("scheduler stuck at cycle %d", m.clock)
 		}
 		m.stallCycles += minWake - m.clock
 		m.clock = minWake
-		return false, nil
+		return tickRan, nil
 	}
 	if m.cur >= 0 && next != m.cur {
 		m.clock += int64(m.Cfg.SwapCost)
 		m.swaps++
 	}
 	m.cur = next
+	return tickRan, nil
+}
+
+// run executes quanta while the local clock is below maxCycles. It
+// stops when every started thread has halted (done), and — with sync
+// set — just before a shared reference, which it leaves for the chip
+// scheduler. A failing quantum leaves the clock where the quantum
+// started, so the error is raised at that simulated time.
+func (m *Machine) run(maxCycles int64, sync bool) (done bool, err error) {
+	for m.clock < maxCycles {
+		s, err := m.tick(sync, maxCycles)
+		if err != nil {
+			return false, err
+		}
+		switch s {
+		case tickShared:
+			return false, nil
+		case tickDone:
+			return true, nil
+		}
+	}
 	return false, nil
+}
+
+// park runs the engine ahead to its next shared reference, its
+// budget, a failure or the end of its threads, and returns its
+// scheduling key for Chip.Run: its clock, or math.MaxInt64 once done.
+func (m *Machine) park(maxCycles int64) (int64, error) {
+	done, err := m.run(maxCycles, true)
+	if done {
+		return math.MaxInt64, nil
+	}
+	return m.clock, err
 }
 
 // active reports whether any started thread is still running.
@@ -348,14 +427,8 @@ func (m *Machine) Run(maxCycles int64) (*Stats, error) {
 	if m.prog == nil {
 		return nil, m.attr(fmt.Errorf("no program loaded"))
 	}
-	for m.clock < maxCycles {
-		done, err := m.tick()
-		if err != nil {
-			return nil, m.attr(err)
-		}
-		if done {
-			break
-		}
+	if _, err := m.run(maxCycles, false); err != nil {
+		return nil, m.attr(err)
 	}
 	st, err := m.stats()
 	if err != nil {
@@ -398,6 +471,7 @@ func (m *Machine) flushCounters(st *Stats) {
 	cIxpFIFORefs.Add(st.FIFORefs)
 	cIxpStalls.Add(st.StallCycles)
 	cIxpPortWait.Add(st.PortWaitCycles)
+	cIxpSync.Add(m.syncQuanta)
 }
 
 // noteRef tallies one memory reference against its space.
@@ -437,10 +511,6 @@ func (m *Machine) mem(space cps.Space) ([]uint32, int, error) {
 // issue cost. Blocking references set the thread's wake-up time; the
 // scheduler switches to another thread to hide the latency.
 func (m *Machine) step(t *thread, cycle int64) (int, error) {
-	block := func(lat int) (int, error) {
-		t.wakeAt = cycle + 1 + int64(lat)
-		return 1, nil
-	}
 	in := &m.prog.Instrs[t.pc]
 	t.instrs++
 	cost := 1
@@ -496,7 +566,8 @@ func (m *Machine) step(t *thread, cycle int64) (int, error) {
 		// other engines) contend for the memory port.
 		t.pc++
 		if in.Space == cps.SpaceRFIFO {
-			return block(lat)
+			t.wakeAt = cycle + 1 + int64(lat)
+			return 1, nil
 		}
 		g := m.units[in.Space].grant(cycle + 1)
 		m.portWait += g - (cycle + 1)
@@ -573,7 +644,8 @@ func (m *Machine) step(t *thread, cycle int64) (int, error) {
 		cost = 2
 	case asm.OpCtxSwap:
 		t.pc++
-		return block(1)
+		t.wakeAt = cycle + 2 // one cycle of latency
+		return 1, nil
 	case asm.OpBr:
 		l, r := t.get(in.L), t.get(in.R)
 		if cmpOp(in.Alu, l, r) {
