@@ -62,14 +62,11 @@ func writeBenchJSON(path string) error {
 			Go:            runtime.Version(),
 		},
 		Workload: "mip.MultiKnapsack(n=60, m=5, seed=12345), Workers=cpu",
-		Note: "Sparse-LU kernel with Forrest-Tomlin updates, long-step dual warm " +
-			"re-solves, and devex pricing on by default; -dual=false -devex=false " +
-			"reproduces the previous revision's dense-eta primal kernel (21.32 " +
-			"lp-iters/node, 11.8 lp-iterations per node solve, 43% degenerate pivots " +
-			"at cpu=1 on this instance), and -cuts=false additionally reproduces the " +
-			"pre-cut search of two revisions ago. lp-iters/node includes the " +
-			"iterations the root heuristics spend, so it rises even as the tree " +
-			"shrinks.",
+		Note: "Sparse-LU kernel with Forrest-Tomlin updates and hypersparse " +
+			"triangular solves, long-step dual warm re-solves, and devex pricing; " +
+			"-cuts=false and -presolve=false turn off root cuts and presolve. " +
+			"lp-iters/node includes the iterations the root heuristics spend, so " +
+			"it rises even as the tree shrinks. cpu>=2 rows vary with thread timing.",
 		Benchtime: fmt.Sprintf("%dx", benchReps),
 	}
 	for _, cpu := range []int{1, 2, 4, 8} {

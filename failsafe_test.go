@@ -18,6 +18,14 @@ import (
 // the checksum result, the rewritten SDRAM image, and the cycle count.
 func natRun(t *testing.T, alloc func(*nova.Options)) (uint32, []uint32, int64) {
 	t.Helper()
+	_, ret, mem, cycles := natRunComp(t, alloc)
+	return ret, mem, cycles
+}
+
+// natRunComp is natRun returning the compilation too, so tests can
+// inspect the solver status behind the allocation.
+func natRunComp(t *testing.T, alloc func(*nova.Options)) (*nova.Compilation, uint32, []uint32, int64) {
+	t.Helper()
 	opts := nova.DefaultOptions()
 	opts.MIP = &mip.Options{Time: 2 * time.Minute}
 	if alloc != nil {
@@ -42,7 +50,7 @@ func natRun(t *testing.T, alloc func(*nova.Options)) (uint32, []uint32, int64) {
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
-	return st.Results[0][0], append([]uint32(nil), m.SDRAM...), st.Cycles
+	return comp, st.Results[0][0], append([]uint32(nil), m.SDRAM...), st.Cycles
 }
 
 // TestFailsafePipelineEndToEnd is the PR's acceptance check (DESIGN.md
@@ -100,4 +108,46 @@ func TestFailsafePipelineEndToEnd(t *testing.T) {
 	}
 	t.Logf("NAT: ILP %d cycles, greedy fallback %d cycles (+%.1f%%)",
 		ilpCycles, fbCycles, 100*float64(fbCycles-ilpCycles)/float64(ilpCycles))
+}
+
+// TestForcedSlowSolveFallsBack injects LP solve latency so the exact
+// solver cannot find an incumbent inside the budget: the default
+// failure policy must hand the allocation to the greedy fallback, the
+// result must be honestly unproven (never Optimal), and the packet
+// output must still be bit-identical to the clean compile.
+func TestForcedSlowSolveFallsBack(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full compiles of the NAT workload")
+	}
+	wantRet, wantMem, _ := natRun(t, nil)
+
+	// 3 s of injected latency on every LP solve against a 1.5 s solve
+	// budget: branch and bound halts with no incumbent.
+	plan, err := fault.Parse("lp/solve_latency@1:*=3000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Install(plan)
+	defer fault.Reset()
+	base := obs.TakeSnapshot()
+	comp, gotRet, gotMem, _ := natRunComp(t, func(o *nova.Options) {
+		o.MIP = &mip.Options{Time: 1500 * time.Millisecond}
+	})
+	fault.Reset()
+	d := obs.Since(base)
+	if comp.Alloc.MIP.Status == mip.Optimal {
+		t.Fatal("forced-slow compile claims Optimal; a fallback must keep its honest status")
+	}
+	if !comp.Alloc.Fallback || d["alloc/fallback"] < 1 {
+		t.Fatalf("forced-slow compile: Fallback = %v, alloc/fallback = %d; want the greedy fallback (%v)",
+			comp.Alloc.Fallback, d["alloc/fallback"], d)
+	}
+	if gotRet != wantRet {
+		t.Fatalf("forced-slow compile result %#x, clean result %#x", gotRet, wantRet)
+	}
+	for i := range wantMem {
+		if gotMem[i] != wantMem[i] {
+			t.Fatalf("forced-slow compile sdram[%#x] = %#x, clean %#x", i, gotMem[i], wantMem[i])
+		}
+	}
 }

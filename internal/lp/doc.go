@@ -36,9 +36,10 @@
 // refactorizing (guarded by a matrix signature), and Options.Method
 // MethodAuto routes the re-solve through the dual simplex, which
 // restores optimality in a handful of pivots instead of a full solve.
-// Options.Method / Options.Pricing pin the algorithm (MethodPrimal,
-// MethodDual, PricingDantzig) for experiments; the defaults choose
-// dual-on-warm and devex.
+// Options.Method pins the simplex variant (MethodPrimal, MethodDual)
+// for differential tests; the default chooses dual-on-warm. Primal
+// phase 2 always prices with devex and hands long degenerate runs to
+// the Bland-guarded Dantzig loop.
 //
 // The lp/ observability counters (lp/solves, lp/iterations,
 // lp/dual_iterations, lp/degenerate_pivots, lp/bland_activations,

@@ -276,20 +276,6 @@ const (
 	MethodDual
 )
 
-// Pricing selects the primal phase-2 pricing rule.
-type Pricing int
-
-const (
-	// PricingDevex is the default: devex reference weights
-	// approximating steepest edge, with incrementally maintained
-	// reduced costs and an exact recompute before optimality is
-	// declared. Bland's rule still takes over on long degenerate runs.
-	PricingDevex Pricing = iota
-	// PricingDantzig reproduces the previous revision's most-negative
-	// reduced-cost rule (full pricing every iteration).
-	PricingDantzig
-)
-
 // Options tunes the solver.
 type Options struct {
 	MaxIters    int     // 0 means automatic (scaled with problem size)
@@ -310,10 +296,6 @@ type Options struct {
 
 	// Method selects the simplex variant (see MethodAuto).
 	Method Method
-
-	// Pricing selects the primal phase-2 pricing rule (devex by
-	// default; PricingDantzig reproduces the previous revision).
-	Pricing Pricing
 }
 
 func (o *Options) fill(p *Problem) {

@@ -31,6 +31,11 @@
 // Solve runs the presolve reductions (bound propagation, fixing,
 // row dropping — Options.Presolve) before handing the reduced program
 // to mip.Solve, then maps the solution back to the original columns.
+// Before returning, Solve re-checks that point with CheckFeasible
+// (rows, bounds and integrality at 1e-6): a point that fails is an
+// error, counted in mip/verify_drops, so no caller needs a check of
+// its own.
+//
 // WriteLP exports the generated program in CPLEX LP format for
 // cross-checking against an external solver.
 //

@@ -22,6 +22,18 @@ var (
 	cPreRounds  = obs.NewCounter("mip/presolve/rounds")
 )
 
+// cVerifyDrops counts solver points Solve rejected because they failed
+// CheckFeasible (DESIGN.md §14).
+var cVerifyDrops = obs.NewCounter("mip/verify_drops")
+
+// verifyTol is the tolerance Solve re-checks the solver's point at; it
+// equals the compile cache's validation tolerance.
+const verifyTol = 1e-6
+
+// solveMIP is the branch and bound Solve runs; a variable so tests can
+// substitute a solver that lies about its point.
+var solveMIP = mip.Solve
+
 // Model is an ILP under construction.
 type Model struct {
 	lp       *lp.Problem
@@ -226,14 +238,38 @@ func (m *Model) IntegerMask() []bool { return m.integer }
 // (default: all cores); the solver searches on clones of the reduced
 // problem, so the model itself stays readable (Stats, Value lookups)
 // while a solve runs elsewhere.
+//
+// Every point Solve returns has passed CheckFeasible against the
+// model's own rows, bounds and integrality: a point that fails is an
+// error wrapping the violation, never a result.
 func (m *Model) Solve(opts *mip.Options) (*mip.Result, error) {
+	return m.verified(m.solve(opts))
+}
+
+// verified re-checks the point of a solver result against the model,
+// so no caller trusts an X that violates a row, a bound or
+// integrality. Results without a point (Infeasible, or a halt before
+// any incumbent) and errors pass through unchanged.
+func (m *Model) verified(res *mip.Result, err error) (*mip.Result, error) {
+	if err != nil || res == nil || res.X == nil {
+		return res, err
+	}
+	if ferr := m.CheckFeasible(res.X, verifyTol); ferr != nil {
+		cVerifyDrops.Inc()
+		return nil, fmt.Errorf("model: solver returned an infeasible %v point: %w", res.Status, ferr)
+	}
+	return res, nil
+}
+
+// solve is Solve without the final check.
+func (m *Model) solve(opts *mip.Options) (*mip.Result, error) {
 	var o mip.Options
 	if opts != nil {
 		o = *opts
 	}
 	if o.Presolve < 0 {
 		m.preInfo.Store(nil)
-		return mip.Solve(m.lp, m.integer, &o)
+		return solveMIP(m.lp, m.integer, &o)
 	}
 	sp := obs.StartSpan("mip/presolve")
 	pre := presolve(m.lp, m.integer, o.Presolve)
@@ -302,7 +338,7 @@ func (m *Model) Solve(opts *mip.Options) (*mip.Result, error) {
 			return red, true
 		}
 	}
-	res, err := mip.Solve(pre.p, pre.integer, &o)
+	res, err := solveMIP(pre.p, pre.integer, &o)
 	if err != nil || res == nil {
 		return res, err
 	}
