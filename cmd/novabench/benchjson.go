@@ -63,10 +63,10 @@ func writeBenchJSON(path string) error {
 		},
 		Workload: "mip.MultiKnapsack(n=60, m=5, seed=12345), Workers=cpu",
 		Note: "Sparse-LU kernel with Forrest-Tomlin updates and hypersparse " +
-			"triangular solves, long-step dual warm re-solves, and devex pricing; " +
-			"-cuts=false and -presolve=false turn off root cuts and presolve. " +
-			"lp-iters/node includes the iterations the root heuristics spend, so " +
-			"it rises even as the tree shrinks. cpu>=2 rows vary with thread timing.",
+			"triangular solves, long-step dual warm re-solves, and devex pricing. " +
+			"The root runs lifted cover and clique cuts and rounds the root vertex; " +
+			"no root heuristic spends LP iterations, so lp-iters/node counts the " +
+			"root LP, the cut loop and the tree. cpu>=2 rows vary with thread timing.",
 		Benchtime: fmt.Sprintf("%dx", benchReps),
 	}
 	for _, cpu := range []int{1, 2, 4, 8} {

@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	novabench [-table fig5|fig6|fig7|throughput|all] [-cuts=false]
-//	          [-presolve=false] [-json BENCH_mip.json] [-pprof :6060]
+//	novabench [-table fig5|fig6|fig7|throughput|all]
+//	          [-json BENCH_mip.json] [-pprof :6060]
 //	novabench -fleet [-json BENCH_fleet.json]
 //
 // With -json, novabench instead runs the MIP scaling workload (the
@@ -61,21 +61,10 @@ var table = []wl{
 
 var compiled = map[string]*nova.Compilation{}
 
-var (
-	jobs     = flag.Int("j", 0, "parallel ILP search workers (0 = all cores)")
-	cuts     = flag.Bool("cuts", true, "root-node cutting planes in the ILP solves")
-	presolve = flag.Bool("presolve", true, "ILP presolve reductions before the solves")
-)
+var jobs = flag.Int("j", 0, "parallel ILP search workers (0 = all cores)")
 
 func mipOptions() *mip.Options {
-	o := &mip.Options{Time: 4 * time.Minute, Workers: *jobs}
-	if !*cuts {
-		o.CutRounds = -1
-	}
-	if !*presolve {
-		o.Presolve = -1
-	}
-	return o
+	return &mip.Options{Time: 4 * time.Minute, Workers: *jobs}
 }
 
 func compile(w wl) *nova.Compilation {

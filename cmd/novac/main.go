@@ -6,8 +6,7 @@
 // Usage:
 //
 //	novac [-entry main] [-print cps|mir|asm] [-stats] [-no-prune]
-//	      [-no-coarsen] [-remat] [-cuts=false] [-presolve=false]
-//	      [-alloc-budget 30s] [-fallback auto|off|force]
+//	      [-no-coarsen] [-remat] [-alloc-budget 30s] [-fallback auto|off|force]
 //	      [-lp out.lp] [-mps out.mps] [-fault spec]
 //	      [-trace out.json] file.nova
 //
@@ -43,8 +42,6 @@ func main() {
 	fallbackMode := flag.String("fallback", "auto", "greedy fallback allocator policy: auto, off, force")
 	faultSpec := flag.String("fault", "", "fault-injection plan, e.g. 'mip/worker_panic@1,lp/refactor_fail@1' (testing)")
 	jobs := flag.Int("j", 0, "parallel ILP search workers (0 = all cores)")
-	cuts := flag.Bool("cuts", true, "root-node cutting planes in the ILP solve")
-	presolve := flag.Bool("presolve", true, "ILP presolve reductions before the solve")
 	lpOut := flag.String("lp", "", "write the generated integer program to this file (CPLEX LP format)")
 	mpsOut := flag.String("mps", "", "write the generated integer program to this file (MPS format, canonical naming)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file of the compile to this path")
@@ -81,12 +78,6 @@ func main() {
 		budget = *allocBudget
 	}
 	opts.MIP = &mip.Options{Time: budget, Workers: *jobs}
-	if !*cuts {
-		opts.MIP.CutRounds = -1
-	}
-	if !*presolve {
-		opts.MIP.Presolve = -1
-	}
 	if *faultSpec != "" {
 		plan, err := fault.Parse(*faultSpec)
 		if err != nil {

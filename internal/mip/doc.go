@@ -9,8 +9,9 @@
 // node LP warm-started from the parent's basis; after branching it
 // dives depth-first into the nearer child (keeping the basis in hand)
 // while the sibling goes back to the pool. Presolve reductions run
-// first (Options.Presolve), and root-node cutting planes plus rounding
-// heuristics tighten the tree before it starts (Options.CutRounds).
+// first (Options.Presolve). At the root, lifted cover and clique cuts
+// tighten the relaxation (Options.CutRounds), and the rounded root
+// vertex or a verified Options.Seed supplies the first incumbent.
 //
 // # Usage
 //

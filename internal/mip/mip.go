@@ -60,7 +60,7 @@ type Options struct {
 	Workers  int           // parallel tree-search workers; default GOMAXPROCS
 
 	// CutRounds controls the root-node cutting-plane loop: 0 runs the
-	// automatic default (up to 30 rounds of lifted cover + clique
+	// automatic default (up to 10 rounds of lifted cover + clique
 	// separation, stopping when the relaxation stops improving), a
 	// negative value disables cutting planes entirely (reproducing the
 	// plain warm-started branch and bound), and a positive value caps
@@ -92,11 +92,10 @@ type Options struct {
 	// need not be goroutine-safe even with Workers > 1.
 	Heuristic func(x []float64) ([]float64, bool)
 
-	// Ctx, when set, cancels the solve: the root cut loop, the root
-	// heuristics, and the tree search all poll it, and a cancelled
-	// solve returns Status Cancelled together with the best incumbent
-	// found so far (nil X when none exists). Nil means no cancellation
-	// (context.Background()).
+	// Ctx, when set, cancels the solve: the root cut loop and the tree
+	// search poll it, and a cancelled solve returns Status Cancelled
+	// together with the best incumbent found so far (nil X when none
+	// exists). Nil means no cancellation (context.Background()).
 	Ctx context.Context
 
 	// Seed, when non-nil, proposes a starting incumbent in the solved
@@ -137,9 +136,8 @@ type Options struct {
 	// incumbent, and the cache's subset check is what keeps it sound.
 	LowerBound *float64
 
-	// seedX/seedObj install a known-feasible starting incumbent before
-	// the search (used by the local-branching sub-solves, which restrict
-	// the neighborhood of a point they already hold).
+	// seedX/seedObj hold the verified Seed: a known-feasible starting
+	// incumbent installed before the search.
 	seedX   []float64
 	seedObj float64
 }
@@ -263,8 +261,8 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 
 	// Failure-policy plumbing (DESIGN.md §10): the wall-clock budget
 	// becomes a hard deadline threaded into every LP solve (root, cut
-	// loop, heuristics, and tree nodes all honor it), and the caller's
-	// context is polled at node granularity by the tree search.
+	// loop, and tree nodes all honor it), and the caller's context is
+	// polled at node granularity by the tree search.
 	ctx := o.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -382,16 +380,6 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 				break
 			}
 			cuts := sep.separate(sol.X, 48)
-			if o.Heuristic == nil {
-				// Tableau cuts only when no completion heuristic is
-				// registered: a caller's heuristic rounds the node LP
-				// vertex, and the dense GMI rows smear its fractionality
-				// across columns the heuristic cannot read, degrading the
-				// very incumbents that close heuristic-driven trees in tens
-				// of nodes. The sparse combinatorial families above stay on
-				// for everyone.
-				cuts = append(cuts, gmiCuts(work, sol.Basis, integer, 16)...)
-			}
 			if len(cuts) == 0 {
 				break
 			}
@@ -470,51 +458,15 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 		// with cuts disabled the engine must replay the plain search.
 		e.objStep = objGranularity(p, integer)
 	}
-	// Root primal heuristics. The basic rounding runs always (it is the
-	// PR 1 behavior); the diving and local-branching stages ride with
-	// the cut loop, because an early near-optimal incumbent prunes the
-	// tree harder than any cut row. All candidates are verified against
-	// the original rows — the incumbent need only satisfy true
-	// constraints.
+	// Root incumbents: the verified seed, then the rounded root vertex
+	// if it is better. Candidates are checked against the original rows
+	// — the incumbent need only satisfy true constraints.
 	heurSp := obs.StartSpan("mip/root_heuristics")
-	bestObj := math.Inf(1)
-	var bestX []float64
 	if o.seedX != nil {
-		bestX, bestObj = o.seedX, o.seedObj
-		e.offerIncumbent(bestObj, append([]float64(nil), bestX...))
+		e.offerIncumbent(o.seedObj, o.seedX)
 	}
-	if x, obj, ok := roundFeasible(p, integer, rootSol.X); ok && obj < bestObj {
-		bestX, bestObj = x, obj
-	}
-	if sep != nil && o.Heuristic == nil && ctx.Err() == nil && countBinaries(p, integer) <= maxHeurBinaries {
-		// Callers with a domain completion heuristic already get
-		// incumbents from structure; and on models with thousands of
-		// binaries a fixed-radius Hamming ball is a vanishing fraction
-		// of the cube while its sub-MIP LPs cost nearly as much as the
-		// real node LPs — so the generic root heuristics stand down.
-		if x, obj, iters, ok := rootDive(work, p, integer, rootSol, o.LP); ok {
-			res.LPIters += iters
-			if obj < bestObj {
-				bestX, bestObj = x, obj
-			}
-		}
-		// Local branching around the best point, recentering while it
-		// keeps improving.
-		for round := 0; round < 3 && bestX != nil; round++ {
-			remain := o.Time - time.Since(start)
-			if remain <= 0 || ctx.Err() != nil {
-				break
-			}
-			x, obj, iters, ok := localBranch(ctx, p, integer, bestX, bestObj, o.LP, remain/8)
-			res.LPIters += iters
-			if !ok {
-				break
-			}
-			bestX, bestObj = x, obj
-		}
-	}
-	if bestX != nil {
-		e.offerIncumbent(bestObj, bestX)
+	if x, obj, ok := roundFeasible(p, integer, rootSol.X); ok {
+		e.offerIncumbent(obj, x)
 	}
 	heurSp.End()
 	// A caller-proven global lower bound can finish the proof before
@@ -555,29 +507,11 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 	return res, e.err
 }
 
-// maxHeurBinaries bounds the model size the generic root heuristics
-// (rounding dive, local branching) are worth their LP cost on.
-const maxHeurBinaries = 256
-
-// countBinaries counts integer columns with 0/1 bounds.
-func countBinaries(p *lp.Problem, integer []bool) int {
-	n := 0
-	for j, isInt := range integer {
-		if !isInt {
-			continue
-		}
-		if lo, hi := p.Bounds(j); lo == 0 && hi == 1 {
-			n++
-		}
-	}
-	return n
-}
-
 // withDeadline copies the caller's LP options with the solve's hard
 // wall-clock deadline installed (keeping an earlier caller deadline if
-// one is already set). Every LP the solve runs — root, cut loop,
-// heuristic sub-solves, tree nodes — goes through the result, so no
-// single LP can blow past the MIP budget.
+// one is already set). Every LP the solve runs — root, cut loop, tree
+// nodes — goes through the result, so no single LP can blow past the
+// MIP budget.
 func withDeadline(base *lp.Options, dl time.Time) *lp.Options {
 	var o lp.Options
 	if base != nil {
@@ -730,9 +664,9 @@ func feasibleScratch(p *lp.Problem, x []float64, tol float64, act []float64) boo
 
 // feasibleRows is feasibleScratch restricted to the first rows
 // constraint rows. Workers verify heuristic candidates this way,
-// against the true model rows only: appended cut rows hold at every
-// integer-feasible point by construction, and the 1e-7-scale slack a
-// Gomory row can show at such a point must not veto an incumbent.
+// against the true model rows only: appended cover and clique rows
+// hold at every integer-feasible point by construction, so checking
+// them again would only spend time.
 func feasibleRows(p *lp.Problem, x []float64, tol float64, act []float64, rows int) bool {
 	n := p.NumCols()
 	m := p.NumRows() // activity scratch spans every row; only rows are checked
