@@ -135,11 +135,6 @@ type Options struct {
 	// bound could only mislabel a solve as proven, never change the
 	// incumbent, and the cache's subset check is what keeps it sound.
 	LowerBound *float64
-
-	// seedX/seedObj hold the verified Seed: a known-feasible starting
-	// incumbent installed before the search.
-	seedX   []float64
-	seedObj float64
 }
 
 func (o *Options) fill() {
@@ -281,9 +276,11 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 	// Cache-provided warm-start material (DESIGN.md §12). The seed
 	// incumbent is verified here — never trusted — so a stale cache
 	// entry degrades to a cold search instead of a wrong answer.
+	var seedX []float64
+	var seedObj float64
 	if o.Seed != nil {
 		if x, obj, ok := checkSeed(p, integer, o.Seed); ok {
-			o.seedX, o.seedObj = x, obj
+			seedX, seedObj = x, obj
 			cMIPSeedUsed.Inc()
 		} else {
 			cMIPSeedDrops.Inc()
@@ -462,8 +459,8 @@ func Solve(p *lp.Problem, integer []bool, opts *Options) (*Result, error) {
 	// if it is better. Candidates are checked against the original rows
 	// — the incumbent need only satisfy true constraints.
 	heurSp := obs.StartSpan("mip/root_heuristics")
-	if o.seedX != nil {
-		e.offerIncumbent(o.seedObj, o.seedX)
+	if seedX != nil {
+		e.offerIncumbent(seedObj, seedX)
 	}
 	if x, obj, ok := roundFeasible(p, integer, rootSol.X); ok {
 		e.offerIncumbent(obj, x)

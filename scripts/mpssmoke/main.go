@@ -110,11 +110,14 @@ func run() error {
 
 	// Solve the imported model — standing in for an external MPS
 	// solver — and check it reaches the same optimum as the original.
-	ref, err := m.Solve(&mip.Options{Time: 4 * time.Minute})
+	// Both solves close the gap to 1e-9 so the 1e-6 comparison is
+	// between true optima, not between two incumbents that each stop
+	// somewhere inside the default 1e-4 gap.
+	ref, err := m.Solve(&mip.Options{Time: 4 * time.Minute, Gap: 1e-9})
 	if err != nil {
 		return fmt.Errorf("solve original: %w", err)
 	}
-	imp, err := m2.Solve(&mip.Options{Time: 4 * time.Minute})
+	imp, err := m2.Solve(&mip.Options{Time: 4 * time.Minute, Gap: 1e-9})
 	if err != nil {
 		return fmt.Errorf("solve imported: %w", err)
 	}
